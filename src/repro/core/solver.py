@@ -7,11 +7,9 @@ Divide & Conquer algorithm of Pichon et al. (IPDPS 2015).
 The same task graph runs on any runtime backend:
 
 * ``backend="sequential"`` — submission-order execution (the reference);
-* ``backend="threads"`` — out-of-order execution on OS threads (NumPy
-  kernels release the GIL, so GEMM/secular panels overlap);
-* ``backend="processes"`` — out-of-order execution on worker
-  *processes* with shared-memory workspaces: the quadratic pure-Python
-  merge kernels scale past the GIL on real cores;
+* ``backend="threads"`` — out-of-order execution on OS threads in one
+  address space, like the paper's QUARK/pthreads runtime (NumPy kernels
+  release the GIL, so GEMM/secular panels overlap);
 * ``backend="simulated"`` — deterministic discrete-event execution on a
   virtual multicore (timing studies; numerics identical).
 

@@ -15,18 +15,18 @@ Public surface:
   once for every substrate;
 * :class:`~repro.runtime.scheduler.SequentialScheduler` /
   :class:`~repro.runtime.scheduler.ThreadScheduler` /
-  :class:`~repro.runtime.scheduler.WorkerPool` — wall-clock in-process
-  substrates;
-* :class:`~repro.runtime.procpool.ProcPool` /
-  :class:`~repro.runtime.procpool.ProcScheduler` — process substrates
-  (shared-memory solver pool, generic picklable task flows);
+  :class:`~repro.runtime.scheduler.WorkerPool` — the wall-clock
+  substrates, all in one address space like the paper's QUARK/pthreads
+  runtime;
 * :class:`~repro.runtime.simulator.Machine` /
   :class:`~repro.runtime.simulator.SimulatedMachine` — deterministic
   discrete-event execution on a virtual multicore, with
   :class:`~repro.runtime.distributed.ClusterMachine` and
   :class:`~repro.runtime.hetero.HeteroMachine` extending the same
   virtual substrate across nodes and accelerators;
-* :class:`~repro.runtime.quark.Quark` — QUARK-style facade;
+* :class:`~repro.runtime.quark.Quark` — QUARK-style facade, with
+  :data:`~repro.runtime.quark.BACKENDS` naming the backends it and
+  :class:`~repro.core.session.SolverSession` accept;
 * :class:`~repro.runtime.trace.Trace` — schedule recording/analysis;
 * :class:`~repro.runtime.faults.FaultSpec` /
   :class:`~repro.runtime.faults.FaultInjector` — deterministic fault
@@ -37,13 +37,12 @@ from .task import (Access, DataHandle, Task, TaskCost,
                    INPUT, OUTPUT, INOUT, GATHERV)
 from .dag import TaskGraph
 from .engine import (EngineRun, ExecutionCore, ReadyQueue, VirtualExecutor,
-                     WorkerStats, parent_epilogue)
+                     WorkerStats)
 from .faults import FaultInjector, FaultSpec
 from .scheduler import (PoolRun, SequentialScheduler, ThreadScheduler,
                         WorkerPool, default_thread_workers)
 from .simulator import Machine, SimulatedMachine
-from .procpool import ProcPool, ProcRun, ProcScheduler
-from .quark import Quark
+from .quark import BACKENDS, Quark
 from .hetero import Accelerator, HeteroMachine, GPU_OFFLOAD_POLICY
 from .distributed import ClusterMachine, Network, tree_placement
 from .trace import Trace, TraceEvent, PAPER_KERNELS
@@ -53,11 +52,10 @@ __all__ = [
     "INPUT", "OUTPUT", "INOUT", "GATHERV",
     "TaskGraph",
     "EngineRun", "ExecutionCore", "ReadyQueue", "VirtualExecutor",
-    "WorkerStats", "parent_epilogue",
+    "WorkerStats",
     "SequentialScheduler", "ThreadScheduler",
     "WorkerPool", "PoolRun", "default_thread_workers",
-    "ProcPool", "ProcRun", "ProcScheduler",
-    "Machine", "SimulatedMachine", "Quark",
+    "Machine", "SimulatedMachine", "BACKENDS", "Quark",
     "FaultSpec", "FaultInjector",
     "Accelerator", "HeteroMachine", "GPU_OFFLOAD_POLICY",
     "ClusterMachine", "Network", "tree_placement",

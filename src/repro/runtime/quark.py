@@ -10,11 +10,8 @@ Backends
 ``"sequential"``
     Submission-order execution on the calling thread.
 ``"threads"``
-    Real out-of-order execution on ``n_workers`` OS threads.
-``"processes"``
-    Real out-of-order execution on ``n_workers`` spawned OS processes
-    (:class:`~repro.runtime.procpool.ProcScheduler`); task functions and
-    arguments must be picklable, results come back via ``task.result``.
+    Real out-of-order execution on ``n_workers`` OS threads in one
+    address space, like the paper's QUARK/pthreads runtime.
 ``"simulated"``
     Deterministic discrete-event execution on a virtual
     :class:`~repro.runtime.simulator.Machine` (default: the paper's
@@ -23,13 +20,16 @@ Backends
 Every backend is a substrate of the shared engine
 (:mod:`repro.runtime.engine`), so fault injection, flight recording,
 priorities and first-failure cancellation behave identically on all of
-them.
+them.  :data:`BACKENDS` is the one list of backend names; an unknown
+name or ``n_workers < 1`` is rejected with
+:class:`~repro.errors.InputError` at construction.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence
 
+from ..errors import InputError
 from .dag import TaskGraph
 from .faults import FaultInjector, FaultSpec
 from .scheduler import (SequentialScheduler, ThreadScheduler,
@@ -37,6 +37,19 @@ from .scheduler import (SequentialScheduler, ThreadScheduler,
 from .simulator import Machine, SimulatedMachine
 from .task import Access, DataHandle, Task, TaskCost
 from .trace import Trace
+
+#: Every execution backend, by name.
+BACKENDS = ("sequential", "threads", "simulated")
+
+
+def validate_backend(backend: str, n_workers: Optional[int]) -> None:
+    """Raise :class:`~repro.errors.InputError` for an unknown backend or
+    a worker count below one (``None`` means the backend's default)."""
+    if backend not in BACKENDS:
+        raise InputError(f"unknown backend {backend!r}; expected one of "
+                         f"{', '.join(BACKENDS)}")
+    if n_workers is not None and n_workers < 1:
+        raise InputError(f"n_workers must be >= 1, got {n_workers}")
 
 
 class Quark:
@@ -47,6 +60,7 @@ class Quark:
                  machine: Optional[Machine] = None,
                  recorder=None, fault_injection: Optional[FaultSpec] = None,
                  flight=None):
+        validate_backend(backend, n_workers)
         self.backend = backend
         self.recorder = recorder
         #: Optional :class:`~repro.obs.live.FlightRecorder` handed to
@@ -58,11 +72,10 @@ class Quark:
         self.machine = machine if machine is not None else (
             Machine() if backend == "simulated" else None)
         if n_workers is None:
-            # threads/processes: one worker per core (clamped), like the
-            # paper's 1-16 thread study — not a hardcoded constant.
+            # threads: one worker per core (clamped), like the paper's
+            # 1-16 thread study — not a hardcoded constant.
             n_workers = self.machine.n_cores if self.machine else (
-                default_thread_workers()
-                if backend in ("threads", "processes") else 1)
+                default_thread_workers() if backend == "threads" else 1)
         self.n_workers = n_workers
         self.graph = TaskGraph()
         self.traces: list[Trace] = []
@@ -86,17 +99,10 @@ class Quark:
             return ThreadScheduler(self.n_workers, recorder=self.recorder,
                                    injector=self.injector,
                                    flight=self.flight)
-        if self.backend == "processes":
-            from .procpool import ProcScheduler
-            return ProcScheduler(self.n_workers, recorder=self.recorder,
-                                 injector=self.injector,
-                                 flight=self.flight)
-        if self.backend == "simulated":
-            return SimulatedMachine(self.machine, n_workers=self.n_workers,
-                                    recorder=self.recorder,
-                                    injector=self.injector,
-                                    flight=self.flight)
-        raise ValueError(f"unknown backend {self.backend!r}")
+        return SimulatedMachine(self.machine, n_workers=self.n_workers,
+                                recorder=self.recorder,
+                                injector=self.injector,
+                                flight=self.flight)
 
     def barrier(self) -> Trace:
         """Execute every task submitted since the previous barrier."""

@@ -42,8 +42,8 @@ from .dag import TaskGraph
 from .engine import EngineRun, ExecutionCore, ReadyQueue, WorkerStats
 from .trace import Trace, TraceEvent
 
-#: Back-compat alias: the pool's run-isolation record now lives in the
-#: engine (one record shared with the process substrate).
+#: Back-compat alias: the pool's run-isolation record lives in the
+#: engine.
 PoolRun = EngineRun
 
 

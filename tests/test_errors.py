@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro import dc_eigh
+from repro import SolverSession, dc_eigh
 from repro.errors import (ConvergenceError, GraphError, InjectedFault,
                           InputError, ReproError, SchedulerError,
                           TaskFailure, validate_subset,
                           validate_tridiagonal, wrap_task_error)
+from repro.runtime import Quark
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,29 @@ def test_inf_offdiag_rejected_on_threads_backend():
     e[42] = -np.inf
     with pytest.raises(InputError, match=r"e\[42\] is -inf"):
         dc_eigh(d, e, backend="threads")
+
+
+# ---------------------------------------------------------------------------
+# Backend selection is validated at construction, typed.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend, n_workers, match", [
+    ("processes", None, "unknown backend 'processes'"),
+    ("bogus", None, "unknown backend 'bogus'"),
+    ("threads", 0, "n_workers must be >= 1"),
+    ("threads", -2, "n_workers must be >= 1"),
+    ("sequential", 0, "n_workers must be >= 1"),
+    ("simulated", 0, "n_workers must be >= 1"),
+])
+def test_bad_backend_or_workers_rejected_at_construction(backend, n_workers,
+                                                         match):
+    with pytest.raises(InputError, match=match):
+        SolverSession(backend=backend, n_workers=n_workers)
+    with pytest.raises(InputError, match=match):
+        Quark(backend, n_workers=n_workers)
+    with pytest.raises(InputError, match=match):
+        dc_eigh(np.ones(40), np.ones(39), backend=backend,
+                n_workers=n_workers)
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ def test_submit_after_close_raises():
     s.close()                             # idempotent
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["threads"])
 def test_handle_timeout_leaves_handle_reusable(backend):
     """``result(timeout=)``/``exception(timeout=)`` hitting the deadline
     raise ``SchedulerError`` but must not poison the handle — a later
