@@ -1,16 +1,11 @@
-"""Scheduling benchmark: b-level priorities + adaptive panel widths.
+"""Scheduling benchmark: level-adaptive panel widths.
 
 Measures the deterministic simulated makespan of the Fig-6 matrix
-shapes (types 2/3/4) on the 16-core machine under the four scheduling
-ablations:
+shapes (types 2/3/4) on the 16-core machine under two scheduling
+ablations, both running ready tasks in submission order:
 
-``none``      priorities off, global panel width (the pre-scheduling
-              baseline: every task at priority 0, FIFO-ish order).
-``blevel``    b-level priorities only (critical path first), global
-              panel width.
-``adaptive``  priorities off, level-adaptive panel widths.
-``full``      b-level priorities + adaptive widths (the defaults a
-              solver session would pick with ``adaptive_nb=True``).
+``none``      global panel width (the solver default).
+``adaptive``  level-adaptive panel widths (``adaptive_nb=True``).
 
 All timings are *virtual* (discrete-event simulation on the calibrated
 machine model), so results are bit-for-bit reproducible on any host —
@@ -18,8 +13,8 @@ unlike wall-clock gates, this cannot be flaky on shared CI runners.
 
 The gate machine uses the calibrated per-task dispatch overhead of this
 Python runtime (``DEFAULT_CALIBRATION.task_overhead_s``, ~15 us) rather
-than the paper machine's 2 us: priorities and panel widths matter
-exactly when dispatch overhead is not negligible, and 15 us is what the
+than the paper machine's 2 us: panel widths matter exactly when
+dispatch overhead is not negligible, and 15 us is what the
 ThreadScheduler actually costs per task (measured by
 ``repro.core.calibrate.host_calibration``).
 
@@ -29,8 +24,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_schedule.py --smoke   # CI check
 
 The full run writes ``BENCH_schedule.json`` to the repo root with the
-n >= 2500 grid and the gate verdict (>= 10% improvement of ``full``
-over ``none`` on at least 3 shapes).  ``--smoke`` re-runs only the
+n >= 2500 grid and the gate verdict (>= 10% improvement of
+``adaptive`` over ``none`` on at least 3 shapes).  ``--smoke`` re-runs only the
 small shapes (n <= 1200, seconds not minutes), checks them against the
 committed baseline, and re-validates that the committed grid still
 satisfies the gate.
@@ -70,12 +65,8 @@ GATE_MIN_SHAPES = 3
 SMOKE_SHAPES = [(2, 600), (3, 1200), (4, 1200)]
 
 ABLATIONS = {
-    "none": DCOptions(priority_mode="none"),
-    "blevel": DCOptions(priority_mode="blevel"),
-    "adaptive": DCOptions(priority_mode="none", adaptive_nb=True,
-                          target_parallelism=N_WORKERS),
-    "full": DCOptions(priority_mode="blevel", adaptive_nb=True,
-                      target_parallelism=N_WORKERS),
+    "none": DCOptions(),
+    "adaptive": DCOptions(adaptive_nb=True, target_parallelism=N_WORKERS),
 }
 
 
@@ -92,10 +83,8 @@ def measure_shape(mtype: int, n: int,
     base = rec["makespan_s"]["none"]
     for name in ablations:
         rec["improvement"][name] = 1.0 - rec["makespan_s"][name] / base
-    imp = rec["improvement"]
     print(f"  type{mtype} n={n:5d}: none {base * 1e3:9.3f} ms   "
-          + "  ".join(f"{k} {100 * imp[k]:+6.2f}%"
-                      for k in ("blevel", "adaptive", "full")))
+          f"adaptive {100 * rec['improvement']['adaptive']:+6.2f}%")
     return rec
 
 
@@ -103,7 +92,7 @@ def gate_verdict(grid: list[dict]) -> dict:
     """Evaluate the >= 10%-on->=3-shapes acceptance gate over a grid."""
     passing = [[r["mtype"], r["n"]] for r in grid
                if r["n"] >= 2500
-               and r["improvement"]["full"] >= GATE_THRESHOLD]
+               and r["improvement"]["adaptive"] >= GATE_THRESHOLD]
     return {"threshold": GATE_THRESHOLD, "min_shapes": GATE_MIN_SHAPES,
             "n_workers": N_WORKERS, "passing": passing,
             "ok": len(passing) >= GATE_MIN_SHAPES}
@@ -123,7 +112,7 @@ def run_full() -> dict:
           f"task overhead {GATE_MACHINE.task_overhead * 1e6:.0f} us")
     grid = [measure_shape(mt, n) for mt, n in GATE_SHAPES]
     gate = gate_verdict(grid)
-    print(f"[gate] full >= {100 * GATE_THRESHOLD:.0f}% faster than 'none' "
+    print(f"[gate] adaptive >= {100 * GATE_THRESHOLD:.0f}% faster than 'none' "
           f"on {len(gate['passing'])} shapes "
           f"(need {GATE_MIN_SHAPES}): "
           + ("OK" if gate["ok"] else "FAIL")
@@ -144,7 +133,7 @@ def check_smoke(baseline_path: str = BASELINE,
        improvement on >= ``GATE_MIN_SHAPES`` shapes) — catches edits
        that water the baseline down.
     2. The small smoke shapes are re-measured in virtual time and the
-       ``full`` improvement must not fall more than ``slack_pp``
+       ``adaptive`` improvement must not fall more than ``slack_pp``
        percentage points below the committed value — catches scheduling
        regressions without ever touching the expensive n >= 2500 grid.
        (The slack absorbs tiny deflation-count differences across BLAS/
@@ -169,14 +158,14 @@ def check_smoke(baseline_path: str = BASELINE,
             failures.append(f"baseline smoke misses shape type{mt} n={n}")
             continue
         cur = measure_shape(mt, n)
-        drop = 100 * (ref["improvement"]["full"]
-                      - cur["improvement"]["full"])
+        drop = 100 * (ref["improvement"]["adaptive"]
+                      - cur["improvement"]["adaptive"])
         if drop > slack_pp:
             failures.append(
-                f"type{mt} n={n}: 'full' improvement "
-                f"{100 * cur['improvement']['full']:.2f}% fell "
+                f"type{mt} n={n}: 'adaptive' improvement "
+                f"{100 * cur['improvement']['adaptive']:.2f}% fell "
                 f"{drop:.1f}pp below committed "
-                f"{100 * ref['improvement']['full']:.2f}%")
+                f"{100 * ref['improvement']['adaptive']:.2f}%")
     return failures
 
 

@@ -67,10 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "task:SEQ | kernel:NAME[:NTH] | p:PROB[:SEED]")
     s.add_argument("--nb", type=int, default=None,
                    help="panel width (dc solver only; default: auto)")
-    s.add_argument("--priority-mode", default=None,
-                   choices=["none", "blevel"],
-                   help="task priorities: b-level critical path (default) "
-                        "or none (dc solver only)")
     s.add_argument("--seed", type=int, default=0)
 
     v = sub.add_parser("svd", help="D&C SVD of a random dense matrix")
@@ -102,10 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--jobz", default="V", choices=["V", "N"],
                    help="V = eigenpairs (default); N = eigenvalues only "
                         "(trace the reduced strip DAG)")
-    t.add_argument("--priority-mode", default=None,
-                   choices=["none", "blevel"],
-                   help="task priorities: b-level critical path (default) "
-                        "or none")
     t.add_argument("--width", type=int, default=100, help="chart width")
     t.add_argument("--out", default=None, metavar="DIR",
                    help="dump trace.jsonl, trace_chrome.json, gantt.txt, "
@@ -171,15 +163,13 @@ def _cmd_solve(args) -> int:
         from .errors import ReproError
         from .runtime.faults import FaultSpec
         inject = getattr(args, "inject", None)
-        opts = DCOptions(jobz=getattr(args, "jobz", "V"),
-                         reuse_graph=bool(getattr(args, "reuse_graph",
-                                                  False)),
-                         fault_injection=(FaultSpec.parse(inject)
-                                          if inject else None),
-                         nb=getattr(args, "nb", None))
-        if getattr(args, "priority_mode", None):
-            opts = opts.with_(priority_mode=args.priority_mode)
         try:
+            opts = DCOptions(jobz=getattr(args, "jobz", "V"),
+                             reuse_graph=bool(getattr(args, "reuse_graph",
+                                                      False)),
+                             fault_injection=(FaultSpec.parse(inject)
+                                              if inject else None),
+                             nb=getattr(args, "nb", None))
             if use_session:
                 # Repeated solves share one session: persistent workers,
                 # pooled workspaces, concurrent fused execution on the
@@ -242,6 +232,7 @@ def _cmd_trace(args) -> int:
 
     from . import dc_eigh
     from .core.options import FIG3_CONFIGS
+    from .errors import ReproError
     from .matrices import test_matrix
     from .obs import (Collector, chrome_trace, prometheus_text,
                       telemetry_summary, write_jsonl)
@@ -249,16 +240,18 @@ def _cmd_trace(args) -> int:
     n = args.size if args.size is not None else args.n
     d, e = test_matrix(args.type, n, seed=args.seed)
     collector = Collector()
-    opts = FIG3_CONFIGS[args.config].with_(minpart=max(32, n // 8),
-                                           telemetry=collector)
-    if getattr(args, "nb", None) is not None:
-        opts = opts.with_(nb=args.nb)
-    if getattr(args, "jobz", "V") != "V":
-        opts = opts.with_(jobz=args.jobz)
-    if getattr(args, "priority_mode", None):
-        opts = opts.with_(priority_mode=args.priority_mode)
-    res = dc_eigh(d, e, options=opts, backend=args.backend,
-                  n_workers=args.cores, full_result=True)
+    try:
+        opts = FIG3_CONFIGS[args.config].with_(minpart=max(32, n // 8),
+                                               telemetry=collector)
+        if getattr(args, "nb", None) is not None:
+            opts = opts.with_(nb=args.nb)
+        if getattr(args, "jobz", "V") != "V":
+            opts = opts.with_(jobz=args.jobz)
+        res = dc_eigh(d, e, options=opts, backend=args.backend,
+                      n_workers=args.cores, full_result=True)
+    except ReproError as exc:
+        print(f"error   : {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     gantt = res.trace.gantt(width=args.width)
     summary = telemetry_summary(collector, res.trace)
     print(gantt)

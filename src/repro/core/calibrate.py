@@ -1,35 +1,29 @@
-"""Host calibration: turn abstract task costs into seconds.
+"""Host calibration: machine rates that turn task costs into seconds.
 
 The cost model (:mod:`repro.core.costs`, paper Table I) counts flops and
-bytes.  Scheduling decisions — b-level priorities and the level-adaptive
-panel width — need *seconds*, which requires machine rates.  This module
-provides them three ways:
+bytes.  The level-adaptive panel width needs *seconds*, which requires
+machine rates.  This module provides them two ways:
 
 ``DEFAULT_CALIBRATION``
     Deterministic constants representative of this Python/NumPy runtime
     (vectorized kernels a few Gflop/s, BLAS GEMM tens of Gflop/s,
-    ~10 GB/s single-stream bandwidth, ~15 µs per-task dispatch as
-    measured on the thread/worker-pool schedulers).  Used whenever
-    nothing measured is available, so priorities and panel widths — and
-    therefore DAG template keys — are reproducible across hosts.
-
-``from_machine(machine)``
-    Mirror of a simulator :class:`~repro.runtime.simulator.Machine`, so
-    priorities computed for the simulated backend rank tasks by exactly
-    the durations the simulator will charge.
+    ~15 µs per-task dispatch as measured on the thread/worker-pool
+    schedulers).  Used whenever nothing measured is available, so panel
+    widths — and therefore DAG template keys — are reproducible across
+    hosts.
 
 ``host_calibration()``
     Micro-benchmarks run once per process (< ~100 ms, memoized):
-    effective flop rate, GEMM rate, stream bandwidth, per-task dispatch
-    overhead, mean secular sweep count, and the batched-vs-streaming
-    Givens crossover height.  Opt-in via ``set_calibration`` or
-    ``REPRO_CALIBRATION=host`` because measured rates make priorities
+    effective flop rate, GEMM rate, per-task dispatch overhead, mean
+    secular sweep count, and the batched-vs-streaming Givens crossover
+    height.  Opt-in via ``set_calibration`` or
+    ``REPRO_CALIBRATION=host`` because measured rates make panel widths
     (and graph-template keys) host-dependent.
 
 The process-wide active calibration is resolved by :func:`get_calibration`
 (override > environment > default) and consumed by
-``DCOptions.node_nb``, ``submit_dc``'s b-level pass, ``cost_laed4``'s
-sweep default and the Givens kernel crossover.
+``DCOptions.node_nb``, ``cost_laed4``'s sweep default and the Givens
+kernel crossover.
 """
 
 from __future__ import annotations
@@ -38,33 +32,22 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime imports core)
-    from ..runtime.simulator import Machine
-    from ..runtime.task import TaskCost
+from typing import Optional
 
 __all__ = [
-    "Calibration", "DEFAULT_CALIBRATION", "from_machine",
+    "Calibration", "DEFAULT_CALIBRATION",
     "host_calibration", "get_calibration", "set_calibration",
 ]
-
-#: Kernels timed at full GEMM/BLAS rate; everything else runs at the
-#: vectorized-elementwise rate (mirrors ``Machine.flop_rate``).
-_GEMM_KERNELS = frozenset({"UpdateVect", "GEMM", "STEDC"})
 
 
 @dataclass(frozen=True)
 class Calibration:
-    """Machine rates used to convert :class:`TaskCost` into seconds.
+    """Machine rates behind the adaptive panel width's cost floor.
 
     ``flop_rate`` / ``gemm_flop_rate``
         Sustained flops/s of vectorized elementwise kernels vs. BLAS-3
         kernels (``UpdateVect``/``STEDC``), matching the simulator's
         kernel-efficiency split.
-    ``mem_bw``
-        Single-stream memory bandwidth in bytes/s for copy-dominated
-        kernels.
     ``task_overhead_s``
         Per-task dispatch cost of the runtime (submission + scheduling),
         charged once per task.
@@ -75,19 +58,18 @@ class Calibration:
         Eigenvector-block height below which the batched Givens path
         beats the streaming path (:mod:`repro.kernels.givens`).
     ``source``
-        Provenance tag: ``"default"``, ``"machine"`` or ``"host"``.
+        Provenance tag: ``"default"`` or ``"host"``.
     """
 
     flop_rate: float = 4.0e9
     gemm_flop_rate: float = 40.0e9
-    mem_bw: float = 10.0e9
     task_overhead_s: float = 15.0e-6
     secular_sweeps: float = 10.0
     givens_crossover: int = 512
     source: str = "default"
 
     def __post_init__(self) -> None:
-        for f in ("flop_rate", "gemm_flop_rate", "mem_bw"):
+        for f in ("flop_rate", "gemm_flop_rate"):
             if getattr(self, f) <= 0.0:
                 raise ValueError(f"{f} must be > 0")
         if self.task_overhead_s < 0.0 or self.secular_sweeps <= 0.0:
@@ -96,44 +78,18 @@ class Calibration:
         if self.givens_crossover < 1:
             raise ValueError("givens_crossover must be >= 1")
 
-    def rate(self, kernel: str = "") -> float:
-        return self.gemm_flop_rate if kernel in _GEMM_KERNELS \
-            else self.flop_rate
-
-    def seconds(self, cost: "TaskCost", kernel: str = "") -> float:
-        """Estimated duration of one task with cost ``cost``."""
-        return (cost.flops / self.rate(kernel)
-                + cost.bytes_moved / self.mem_bw
-                + cost.serial_overhead
-                + self.task_overhead_s)
-
     @property
     def key(self) -> tuple:
         """Value identity for DAG-template cache keys: two calibrations
-        with the same rates produce the same priorities and panel
-        widths, whatever their provenance."""
+        with the same rates produce the same panel widths, whatever
+        their provenance."""
         return (round(self.flop_rate), round(self.gemm_flop_rate),
-                round(self.mem_bw), round(self.task_overhead_s, 9),
+                round(self.task_overhead_s, 9),
                 round(self.secular_sweeps, 3), self.givens_crossover)
 
 
 #: Deterministic fallback constants (see module docstring).
 DEFAULT_CALIBRATION = Calibration()
-
-
-def from_machine(machine: "Machine") -> Calibration:
-    """Calibration mirroring a simulator machine, so b-level priorities
-    rank tasks by the durations the simulator charges."""
-    full = machine.core_gflops * 1e9
-    return Calibration(
-        flop_rate=full * machine.kernel_efficiency,
-        gemm_flop_rate=full,
-        mem_bw=machine.stream_bw,
-        task_overhead_s=machine.task_overhead,
-        secular_sweeps=DEFAULT_CALIBRATION.secular_sweeps,
-        givens_crossover=DEFAULT_CALIBRATION.givens_crossover,
-        source="machine",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -153,8 +109,8 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-def _probe_rates() -> tuple[float, float, float]:
-    """(flop_rate, gemm_flop_rate, mem_bw) from three tiny kernels."""
+def _probe_rates() -> tuple[float, float]:
+    """(flop_rate, gemm_flop_rate) from two tiny kernels."""
     import numpy as np
 
     x = np.random.default_rng(0).standard_normal(1 << 20)
@@ -172,11 +128,7 @@ def _probe_rates() -> tuple[float, float, float]:
     def gemm():
         a @ b
     gemm_rate = 2.0 * 384.0 ** 3 / max(_best_of(gemm), 1e-9)
-
-    def copy():
-        out[:] = x
-    bw = 16.0 * x.size / max(_best_of(copy), 1e-9)
-    return flop, gemm_rate, bw
+    return flop, gemm_rate
 
 
 def _probe_task_overhead() -> float:
@@ -256,11 +208,10 @@ def host_calibration() -> Calibration:
     global _host
     with _lock:
         if _host is None:
-            flop, gemm_rate, bw = _probe_rates()
+            flop, gemm_rate = _probe_rates()
             _host = Calibration(
                 flop_rate=flop,
                 gemm_flop_rate=gemm_rate,
-                mem_bw=bw,
                 task_overhead_s=_probe_task_overhead(),
                 secular_sweeps=_probe_secular_sweeps(),
                 givens_crossover=_probe_givens_crossover(),
@@ -285,7 +236,7 @@ def get_calibration() -> Calibration:
     """Active calibration: override > ``REPRO_CALIBRATION`` env > default.
 
     ``REPRO_CALIBRATION=host`` switches to measured host rates (making
-    priorities and template keys host-dependent); any other value, or
+    panel widths and template keys host-dependent); any other value, or
     none, selects :data:`DEFAULT_CALIBRATION`.
     """
     if _override is not None:

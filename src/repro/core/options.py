@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from ..errors import InputError
+
 #: Adaptive-nb policy constants: spine levels aim for ``OVERSUB x
 #: workers`` panels across the level; no panel narrower than 16 columns
 #: or ``OVERHEAD_RATIO`` per-task dispatch costs of work.  OVERSUB = 3
@@ -82,14 +84,6 @@ class DCOptions:
         task N / kernel name / probability with seed), exercising the
         cancellation and error-propagation paths.  ``None`` (default)
         adds no work to the hot path.
-    ``priority_mode``
-        ``"blevel"`` (default): every task is submitted with its
-        bottom-level priority — the cost-weighted longest path from the
-        task to the DAG sink, in calibrated seconds (see
-        :mod:`repro.core.calibrate`) — so all backends run the
-        critical path first.  ``"none"`` submits every task at priority
-        0 (the pre-scheduling-layer behavior).  Priorities only reorder
-        independent work: numerics are bitwise identical either way.
     ``adaptive_nb``
         When True (and ``nb`` is None), the panel width is chosen per
         merge level instead of globally: merges deep in the tree, where
@@ -130,23 +124,19 @@ class DCOptions:
     reuse_graph: bool = False
     telemetry: Any = field(default=None, compare=False)
     fault_injection: Any = None
-    priority_mode: str = "blevel"
     adaptive_nb: bool = False
     target_parallelism: int | None = None
     postmortem_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.jobz not in ("V", "N"):
-            raise ValueError(f"jobz must be 'V' or 'N', got {self.jobz!r}")
+            raise InputError(f"jobz must be 'V' or 'N', got {self.jobz!r}")
         if self.minpart < 1:
-            raise ValueError("minpart must be >= 1")
+            raise InputError("minpart must be >= 1")
         if self.nb is not None and self.nb < 1:
-            raise ValueError("nb must be >= 1")
-        if self.priority_mode not in ("none", "blevel"):
-            raise ValueError("priority_mode must be 'none' or 'blevel', "
-                             f"got {self.priority_mode!r}")
+            raise InputError("nb must be >= 1")
         if self.target_parallelism is not None and self.target_parallelism < 1:
-            raise ValueError("target_parallelism must be >= 1")
+            raise InputError("target_parallelism must be >= 1")
 
     def effective_nb(self, n: int) -> int:
         """Global panel width used for a problem of size ``n``."""

@@ -10,7 +10,7 @@ Public surface:
   (:class:`~repro.runtime.engine.ExecutionCore`,
   :class:`~repro.runtime.engine.EngineRun`,
   :class:`~repro.runtime.engine.ReadyQueue`,
-  :class:`~repro.runtime.engine.VirtualExecutor`): readiness, priority
+  :class:`~repro.runtime.engine.VirtualExecutor`): readiness, submission
   order, first-failure cancellation, fault injection and emission, owned
   once for every substrate;
 * :class:`~repro.runtime.scheduler.SequentialScheduler` /
@@ -39,7 +39,7 @@ from .dag import TaskGraph
 from .engine import (EngineRun, ExecutionCore, ReadyQueue, VirtualExecutor,
                      WorkerStats)
 from .faults import FaultInjector, FaultSpec
-from .scheduler import (PoolRun, SequentialScheduler, ThreadScheduler,
+from .scheduler import (SequentialScheduler, ThreadScheduler,
                         WorkerPool, default_thread_workers)
 from .simulator import Machine, SimulatedMachine
 from .quark import BACKENDS, Quark
@@ -54,7 +54,7 @@ __all__ = [
     "EngineRun", "ExecutionCore", "ReadyQueue", "VirtualExecutor",
     "WorkerStats",
     "SequentialScheduler", "ThreadScheduler",
-    "WorkerPool", "PoolRun", "default_thread_workers",
+    "WorkerPool", "default_thread_workers",
     "Machine", "SimulatedMachine", "BACKENDS", "Quark",
     "FaultSpec", "FaultInjector",
     "Accelerator", "HeteroMachine", "GPU_OFFLOAD_POLICY",

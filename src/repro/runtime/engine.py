@@ -5,10 +5,9 @@ that executes one DAG under one readiness rule on any hardware.  This
 module is that runtime's engine: everything the execution backends have
 in common lives here, once —
 
-* :class:`ReadyQueue` — the priority-ordered ready structure (higher
-  b-level priority first, then overall submission order: QUARK's
-  sequential-task-flow policy), optionally lock-guarded for the
-  multi-threaded substrates;
+* :class:`ReadyQueue` — the ready structure, ordered by overall
+  submission order (QUARK's sequential-task-flow policy), optionally
+  lock-guarded for the multi-threaded substrates;
 * :class:`EngineRun` — the run-isolation record: per-run dependency
   countdowns and readiness release, first-failure state, trace events,
   and the single emission point for Trace / Collector counters and the
@@ -49,14 +48,15 @@ __all__ = ["ReadyQueue", "EngineRun", "ExecutionCore", "WorkerStats",
 
 
 class ReadyQueue:
-    """The one priority-ordered ready structure (QUARK's policy).
+    """The one ready structure: a min-heap in submission order (QUARK's
+    sequential-task-flow policy).
 
-    Entries are keyed ``(-priority, order_base + seq)`` — higher b-level
-    priority first, then overall submission order — with the payload
-    ``(task, run)`` kept out of the comparison, so tasks from different
-    fused runs interleave by priority without ever comparing ``Task``
+    Entries are keyed ``order_base + seq`` — the task's position in the
+    overall submission order — with the payload ``(task, run)`` kept out
+    of the comparison (keys are unique), so tasks from different fused
+    runs interleave by submission without ever comparing ``Task``
     objects.  Single-graph users pass no ``run``/``base`` and the key
-    degenerates to ``(-priority, seq)``.
+    is ``seq``.
 
     ``locked=True`` guards push/pop with a mutex for multi-consumer
     substrates (one instance per worker deque, poppable by thieves);
@@ -66,11 +66,11 @@ class ReadyQueue:
     __slots__ = ("_heap", "_lock")
 
     def __init__(self, locked: bool = False):
-        self._heap: list[tuple[tuple[int, int], tuple]] = []
+        self._heap: list[tuple[int, tuple]] = []
         self._lock = threading.Lock() if locked else None
 
     def push(self, task, run=None, base: int = 0) -> None:
-        entry = ((-task.priority, base + task.seq), (task, run))
+        entry = (base + task.seq, (task, run))
         if self._lock is not None:
             with self._lock:
                 heapq.heappush(self._heap, entry)
@@ -173,7 +173,7 @@ class EngineRun:
     """Run-isolation record: one DAG submitted to an execution substrate.
 
     Owns the run's dependency countdowns, trace events, failure record
-    and completion signal (the thread pool's ``PoolRun`` is an alias).
+    and completion signal.
     Isolation boundary of a fused super-DAG: a task failure marks *this*
     run failed (its queued tasks drain as no-ops) while every other run
     proceeds untouched.
@@ -227,10 +227,6 @@ class EngineRun:
         if self.errors:
             raise self.errors[0]
         return self.trace
-
-    def key(self, task) -> tuple[int, int]:
-        """This task's pool-wide :class:`ReadyQueue` ordering key."""
-        return (-task.priority, self.order_base + task.seq)
 
     # -- readiness release -----------------------------------------------
     def release(self, task, stripes: Optional[Sequence] = None,
@@ -340,7 +336,7 @@ class VirtualExecutor:
     """Engine loop shared by the virtual-clock (discrete-event) family.
 
     Owns the full engine contract for the simulator backends: dependency
-    countdowns and readiness release, the priority-ordered ready queue,
+    countdowns and readiness release, the submission-ordered ready queue,
     functional-payload execution with the fault-injection guard,
     first-failure cancellation and counters, flight recording (with
     *virtual* timestamps), deadlock detection, and ready-depth/counter
@@ -457,8 +453,7 @@ class VirtualExecutor:
         """Trace + flight one virtually-finished task and release its
         successors into the ready queue."""
         self._trace.record(TraceEvent(task.uid, task.name, worker,
-                                      t_start, t_end, task.tag,
-                                      task.priority))
+                                      t_start, t_end, task.tag))
         self._core.task_done(task, worker, t_start, t_end)
         pending = self._pending
         ready = self._ready

@@ -8,7 +8,7 @@ in-process substrates that execute under it:
   calling thread; the reference for correctness and for the paper's
   "sequential execution" timings.
 * :class:`WorkerPool` — the work-stealing thread substrate: ``n_workers``
-  persistent OS threads, each owning a priority
+  persistent OS threads, each owning a submission-ordered
   :class:`~repro.runtime.engine.ReadyQueue`, resolving successor
   dependency counts with striped per-task locks and stealing from peers
   when their own queue runs dry.  A condition variable is used *only* to
@@ -41,10 +41,6 @@ from ..errors import SchedulerError
 from .dag import TaskGraph
 from .engine import EngineRun, ExecutionCore, ReadyQueue, WorkerStats
 from .trace import Trace, TraceEvent
-
-#: Back-compat alias: the pool's run-isolation record lives in the
-#: engine.
-PoolRun = EngineRun
 
 
 def default_thread_workers() -> int:
@@ -99,8 +95,8 @@ class SequentialScheduler:
             task.mark_done()
             b = time.perf_counter() - t0
             cur[0] = None
-            trace.record(TraceEvent(task.uid, task.name, 0, a, b, task.tag,
-                                    task.priority))
+            trace.record(TraceEvent(task.uid, task.name, 0, a, b,
+                                    task.tag))
             task_done(task, 0, t0 + a, t0 + b)
         core.emit_success(len(tasks))
         self.trace = trace
@@ -123,7 +119,7 @@ _POOL_DEFAULT = object()
 class WorkerPool:
     """Persistent work-stealing worker pool executing fused sub-graphs.
 
-    The thread substrate of the engine: per-worker priority queues
+    The thread substrate of the engine: per-worker ready queues
     (:class:`~repro.runtime.engine.ReadyQueue`), striped dependency
     counting via :meth:`EngineRun.release`, stealing on empty, condvar
     parking.  The ``n_workers`` OS threads are spawned **once** and park
@@ -295,8 +291,7 @@ class WorkerPool:
             task.mark_done()
             current[wid] = None
             run.events.append(TraceEvent(task.uid, task.name, wid,
-                                         a - run.t0, b - run.t0, task.tag,
-                                         task.priority))
+                                         a - run.t0, b - run.t0, task.tag))
             core.task_done(task, wid, a, b)
 
             made_ready = 0
@@ -459,7 +454,7 @@ class ThreadScheduler:
     graph, joins the workers and returns the trace — the shape of the
     paper's 1-16 thread scaling study, where every measurement starts
     and ends with a quiesced machine.  Scheduling semantics (per-worker
-    priority queues, striped dependency counting, stealing on empty,
+    ready queues, striped dependency counting, stealing on empty,
     condvar parking, first-failure cancellation) are exactly the pool's;
     this class only adds the join-and-raise protocol and the idle-time
     track on the returned trace.

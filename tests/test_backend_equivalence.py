@@ -169,8 +169,7 @@ def _random_dag(rng, n_tasks, record, lock):
         def payload(i=i):
             with lock:
                 record.append(i)
-        t = Task(payload, (), name=f"t{i}",
-                 priority=int(rng.integers(0, 5)))
+        t = Task(payload, (), name=f"t{i}")
         graph.submit(t)
         tasks.append(t)
     # Random forward edges (graph.submit gave every task n_deps == 0).

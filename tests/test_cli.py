@@ -57,6 +57,20 @@ def test_solve_rejects_removed_processes_backend(capsys):
     assert "invalid choice: 'processes'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--n", "60", "--nb", "0"], "InputError: nb must be >= 1"),
+    (["solve", "--n", "60", "--inject", "bogus"],
+     "InputError: bad fault spec 'bogus'"),
+    (["trace", "--n", "60", "--nb", "0"], "InputError: nb must be >= 1"),
+], ids=["solve-nb0", "solve-inject-bogus", "trace-nb0"])
+def test_bad_option_values_report_typed_errors(argv, message, capsys):
+    # Option values argparse cannot check are rejected by DCOptions /
+    # FaultSpec; the CLI reports them like any solve error, with no
+    # traceback.
+    assert main(argv) == 1
+    assert f"error   : {message}" in capsys.readouterr().err
+
+
 def test_solve_with_subset(capsys):
     assert main(["solve", "--type", "6", "--n", "80",
                  "--subset", "0:5"]) == 0

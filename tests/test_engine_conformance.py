@@ -5,8 +5,9 @@ three virtual machines (simulated / cluster / hetero) — runs on
 the shared engine (:mod:`repro.runtime.engine`).  This suite pins the
 contract the engine owns, parameterized over all of them:
 
-* priority order on a crafted DAG (single-worker configs so the ready
-  order is observable in the trace);
+* submission order: independent ready tasks run in the order they were
+  submitted (single-worker configs so the ready order is observable in
+  the trace);
 * first-failure cancellation: an injected fault surfaces as
   :class:`~repro.errors.TaskFailure` with the faulted task's ``seq``,
   and no dependent task runs after it;
@@ -57,7 +58,7 @@ def _record(label):
 # -- one-worker executor per substrate ------------------------------------
 #
 # Single-worker configs make the dispatch order equal to the engine's
-# ready order, so priority handling is observable from the trace.
+# ready order, so the ready-queue policy is observable from the trace.
 
 def _one_core() -> Machine:
     return Machine(n_cores=1, n_sockets=1)
@@ -110,16 +111,16 @@ ALL = sorted(EXECUTORS)
 
 # -- crafted DAGs ----------------------------------------------------------
 
-PRIORITIES = [1, 9, 3, 7, 5]
+LEAVES = ["leaf1", "leaf9", "leaf3", "leaf7", "leaf5"]
 
 
 def _fan_graph() -> TaskGraph:
-    """One root, five independent leaves with distinct priorities."""
+    """One root, five independent leaves released at the same time."""
     g = TaskGraph()
     h = DataHandle("h")
     g.insert_task(_noop, [(h, INOUT)], name="root")
-    for p in PRIORITIES:
-        g.insert_task(_noop, [(h, INPUT)], name=f"leaf{p}", priority=p)
+    for name in LEAVES:
+        g.insert_task(_noop, [(h, INPUT)], name=name)
     return g
 
 
@@ -138,20 +139,16 @@ def _execution_order(trace) -> list[str]:
                                    key=lambda e: (e.t_start, e.t_end))]
 
 
-# -- priority order --------------------------------------------------------
+# -- submission order ------------------------------------------------------
 
 @pytest.mark.parametrize("name", ALL)
-def test_priority_order(name):
+def test_submission_order(name):
+    # The root's completion readies all five leaves at once; every
+    # executor must then run them in submission order (QUARK's
+    # sequential-task-flow policy), not in name or insertion-set order.
     trace = EXECUTORS[name](_fan_graph())
     names = _execution_order(trace)
-    assert names[0] == "root"
-    if name == "sequential":
-        # Documented policy: the sequential substrate runs in submission
-        # order (priorities are a concurrency concern).
-        expected = [f"leaf{p}" for p in PRIORITIES]
-    else:
-        expected = [f"leaf{p}" for p in sorted(PRIORITIES, reverse=True)]
-    assert names[1:] == expected
+    assert names == ["root"] + LEAVES
 
 
 # -- first-failure cancellation --------------------------------------------
