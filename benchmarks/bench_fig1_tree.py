@@ -10,10 +10,10 @@ from common import save_table
 
 def describe(n, minpart):
     t = build_tree(n, minpart)
-    leaves = [l.n for l in t.leaves()]
+    leaves = [leaf.n for leaf in t.leaves()]
     levels = t.merges_by_level()
     return (f"n={n:<6d} minpart={minpart:<5d} leaves={leaves} "
-            f"merge-levels={[len(l) for l in levels]}")
+            f"merge-levels={[len(lev) for lev in levels]}")
 
 
 def test_fig1_merging_tree(benchmark):
@@ -24,7 +24,7 @@ def test_fig1_merging_tree(benchmark):
     save_table("fig1_tree", "\n".join(lines))
 
     t = build_tree(1000, 300)
-    assert [l.n for l in t.leaves()] == [250, 250, 250, 250]
+    assert [leaf.n for leaf in t.leaves()] == [250, 250, 250, 250]
     assert t.height == 2
     # Bottom-up merge order: two 500-merges then the root 1000-merge.
     sizes = [[nd.n for nd in lev] for lev in t.merges_by_level()]

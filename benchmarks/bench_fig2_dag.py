@@ -31,7 +31,7 @@ def test_fig2_dag_structure(benchmark):
         rows.append(f"{k:<20s} {counts[k]:>6d}")
     rows.append("")
     rows.append("tasks per DAG level (Fig. 2 rows): "
-                + str([len(l) for l in levels]))
+                + str([len(lev) for lev in levels]))
     save_table("fig2_dag", "\n".join(rows))
 
     # Figure census: 4 leaves, 3 merges, root has two panels of 500.

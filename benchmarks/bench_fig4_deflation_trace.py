@@ -7,8 +7,6 @@ and the speedup is bandwidth-limited — but the schedule stays busy.
 (The paper's Fig. 4 uses its type 5; in our realization type 2 is the
 cleanest ~100 %-deflation case, as in the paper's own Fig. 5 legend.)"""
 
-import pytest
-
 from common import save_table, solved_graph
 
 
@@ -24,7 +22,7 @@ def test_fig4_high_deflation_is_memory_bound(benchmark):
         + kt.get("SortEigenvectors", 0) + kt.get("LASET", 0)
     gemm_time = kt.get("UpdateVect", 0)
 
-    rows = [f"type 2 (~100% deflation), n=1500, simulated 16 cores",
+    rows = ["type 2 (~100% deflation), n=1500, simulated 16 cores",
             f"makespan        : {trace.makespan * 1e3:.2f} ms",
             f"copy kernels    : {copy_time / total:.0%} of busy time",
             f"UpdateVect GEMM : {gemm_time / total:.0%} of busy time",

@@ -81,12 +81,11 @@ def scalapack_dc_makespan(d: np.ndarray, e: np.ndarray, *,
 
     flop_gemm = m.core_gflops * 1e9
     flop_kern = flop_gemm * m.kernel_efficiency
-    copy_bw = m.stream_bw
 
     total = 0.0
     # Leaf level: leaves list-scheduled onto ranks, QR iteration each.
-    leaf_costs = sorted((9.0 * l.n ** 3 / flop_kern
-                         for l in tree.leaves()), reverse=True)
+    leaf_costs = sorted((9.0 * leaf.n ** 3 / flop_kern
+                         for leaf in tree.leaves()), reverse=True)
     loads = [0.0] * n_ranks
     for t in leaf_costs:
         loads[loads.index(min(loads))] += t

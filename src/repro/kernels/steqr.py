@@ -68,32 +68,32 @@ def _tql2(d: np.ndarray, e: np.ndarray, *, compute_v: bool = True,
     if n <= 1:
         return d, V
 
-    for l in range(n):
+    for j in range(n):
         sweeps = 0
         while True:
-            # Find the first negligible off-diagonal at or after l.
-            m = l
+            # Find the first negligible off-diagonal at or after j.
+            m = j
             while m < n - 1:
                 dd = abs(d[m]) + abs(d[m + 1])
                 if abs(ee[m]) <= _EPS * dd:
                     break
                 m += 1
-            if m == l:
+            if m == j:
                 break
             sweeps += 1
             if sweeps > max_sweeps:
                 raise ConvergenceError(
-                    f"steqr failed to converge for eigenvalue {l} "
+                    f"steqr failed to converge for eigenvalue {j} "
                     f"after {max_sweeps} sweeps (n={n})")
             # Wilkinson shift from the top 2x2 of the active block.
-            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
+            g = (d[j + 1] - d[j]) / (2.0 * ee[j])
             r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + ee[l] / (g + math.copysign(r, g))
+            g = d[m] - d[j] + ee[j] / (g + math.copysign(r, g))
             s = 1.0
             c = 1.0
             p = 0.0
             underflow = False
-            for i in range(m - 1, l - 1, -1):
+            for i in range(m - 1, j - 1, -1):
                 f = s * ee[i]
                 b = c * ee[i]
                 r = math.hypot(f, g)
@@ -119,8 +119,8 @@ def _tql2(d: np.ndarray, e: np.ndarray, *, compute_v: bool = True,
                     col_i[...] = c * col_i - s * f2
             if underflow:
                 continue
-            d[l] -= p
-            ee[l] = g
+            d[j] -= p
+            ee[j] = g
             ee[m] = 0.0
 
     order = np.argsort(d, kind="stable")

@@ -23,11 +23,11 @@ _TINY = np.finfo(np.float64).tiny
 @dataclass
 class LDL:
     """Representation ``L D Lᵀ = T − sigma·I`` (sigma accumulated from
-    the original matrix).  ``d`` are the n pivots, ``l`` the n−1
-    multipliers."""
+    the original matrix).  ``d`` are the n pivots, ``ell`` the n−1
+    multipliers of L."""
 
     d: np.ndarray
-    l: np.ndarray
+    ell: np.ndarray
     sigma: float
 
     @property
@@ -37,7 +37,7 @@ class LDL:
     def element_growth(self) -> float:
         """max|D| relative to the representation scale (quality check)."""
         scale = float(np.max(np.abs(self.d))) or 1.0
-        off = float(np.max(np.abs(self.l * self.d[:-1]))) if self.l.size else 0.0
+        off = float(np.max(np.abs(self.ell * self.d[:-1]))) if self.ell.size else 0.0
         return max(scale, off) / max(_TINY, float(np.min(np.abs(self.d))))
 
     def to_tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -47,8 +47,8 @@ class LDL:
         e = np.empty(max(0, n - 1))
         d[0] = self.d[0]
         for i in range(n - 1):
-            e[i] = self.l[i] * self.d[i]
-            d[i + 1] = self.d[i + 1] + self.l[i] * self.l[i] * self.d[i]
+            e[i] = self.ell[i] * self.d[i]
+            d[i + 1] = self.d[i + 1] + self.ell[i] * self.ell[i] * self.d[i]
         return d, e
 
 
@@ -73,7 +73,7 @@ def dstqds(rep: LDL, sigma: float) -> tuple[LDL, np.ndarray]:
     Returns the new representation (with accumulated shift) and the
     auxiliary ``s`` vector (``s[i]`` enters the twisted factorization).
     """
-    d, l = rep.d, rep.l
+    d, ell = rep.d, rep.ell
     n = d.shape[0]
     dplus = np.empty(n)
     lplus = np.empty(max(0, n - 1))
@@ -83,8 +83,8 @@ def dstqds(rep: LDL, sigma: float) -> tuple[LDL, np.ndarray]:
         svec[i] = s
         dplus[i] = d[i] + s
         piv = dplus[i] if dplus[i] != 0.0 else _TINY
-        lplus[i] = (d[i] * l[i]) / piv
-        s = lplus[i] * l[i] * s - sigma
+        lplus[i] = (d[i] * ell[i]) / piv
+        s = lplus[i] * ell[i] * s - sigma
     svec[n - 1] = s
     dplus[n - 1] = d[n - 1] + s
     return LDL(dplus, lplus, rep.sigma + sigma), svec
@@ -94,7 +94,7 @@ def dqds_progressive(rep: LDL, sigma: float) -> tuple[np.ndarray, np.ndarray, np
     """Differential progressive qds: ``U D⁻ Uᵀ = LDLᵀ − σI`` from the
     bottom up.  Returns (dminus, uminus, pvec); ``pvec[i]`` enters the
     twisted factorization."""
-    d, l = rep.d, rep.l
+    d, ell = rep.d, rep.ell
     n = d.shape[0]
     dminus = np.empty(n)
     uminus = np.empty(max(0, n - 1))
@@ -102,10 +102,10 @@ def dqds_progressive(rep: LDL, sigma: float) -> tuple[np.ndarray, np.ndarray, np
     p = d[n - 1] - sigma
     pvec[n - 1] = p
     for i in range(n - 2, -1, -1):
-        dminus[i + 1] = d[i] * l[i] * l[i] + p
+        dminus[i + 1] = d[i] * ell[i] * ell[i] + p
         piv = dminus[i + 1] if dminus[i + 1] != 0.0 else _TINY
         t = d[i] / piv
-        uminus[i] = l[i] * t
+        uminus[i] = ell[i] * t
         p = p * t - sigma
         pvec[i] = p
     dminus[0] = p

@@ -24,7 +24,6 @@ MR³-SMP-style dynamic scheduler — used by the Fig. 8 benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from ..kernels.scaling import scale_tridiagonal
 from ..runtime.task import TaskCost
 from .bisect import bisect_ldl, bisect_ldl_multi, gershgorin
 from .ldl import LDL, dstqds, ldl_factor
-from .twisted import getvec, getvec_batch
+from .twisted import getvec_batch
 
 __all__ = ["mrrr_eigh", "MRRRResult", "WorkRecord"]
 
@@ -253,7 +252,7 @@ def _process_block(d: np.ndarray, e: np.ndarray, V: np.ndarray,
     # Eigenvalues of the root representation to full *relative* accuracy
     # (classification into singletons/clusters and the duplicate test
     # are meaningless at any coarser precision).
-    lam_rep = bisect_ldl(rep0.d, rep0.l, np.arange(n),
+    lam_rep = bisect_ldl(rep0.d, rep0.ell, np.arange(n),
                          np.zeros(n),
                          np.full(n, (gu - sigma0) * (1.0 + 1e-6)),
                          rtol=4.0 * _EPS)
@@ -334,7 +333,7 @@ def _process_block(d: np.ndarray, e: np.ndarray, V: np.ndarray,
             for (new_rep, shift, gidx, lo_j, hi_j, li_j, lg, rg, rid) in jobs:
                 c = gidx.shape[0]
                 dmat[:, pos:pos + c] = new_rep.d[:, None]
-                lmat[:, pos:pos + c] = new_rep.l[:, None]
+                lmat[:, pos:pos + c] = new_rep.ell[:, None]
                 loa[pos:pos + c] = lo_j
                 hia[pos:pos + c] = hi_j
                 idxs[pos:pos + c] = li_j
@@ -358,7 +357,6 @@ def _do_singletons(rep: LDL, singles: list[tuple[int, float, float, float]],
                    spdiam: float) -> None:
     """Refine + twisted-factorization vectors for all singletons of an
     item, vectorized over the whole batch."""
-    from .bisect import sturm_count_ldl
     n = rep.n
     m = len(singles)
     pos = np.array([s[0] for s in singles])
@@ -422,7 +420,7 @@ def _prepare_cluster(rep: LDL, lam: np.ndarray,
     new_rep = None
     for sig in candidates:
         cand, _ = dstqds(rep, sig)
-        if np.all(np.isfinite(cand.d)) and np.all(np.isfinite(cand.l)):
+        if np.all(np.isfinite(cand.d)) and np.all(np.isfinite(cand.ell)):
             # Element growth: reject only absurd representations (the
             # twisted factorization tolerates large but finite growth).
             growth = np.max(np.abs(cand.d))
@@ -443,7 +441,7 @@ def _prepare_cluster(rep: LDL, lam: np.ndarray,
     from .bisect import sturm_count_ldl
     lo_edge = lam[0] - shift - 0.5 * lgap
     hi_edge = lam[-1] - shift + 0.5 * rgap
-    base = int(sturm_count_ldl(new_rep.d, new_rep.l,
+    base = int(sturm_count_ldl(new_rep.d, new_rep.ell,
                                np.array([lo_edge]))[0])
     local_idx = base + np.arange(c)
     # The dstqds factorization is serial, but refining the cluster's c

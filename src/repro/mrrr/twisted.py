@@ -52,7 +52,7 @@ def getvec(rep: LDL, lam: float, gap: float,
         z[r] = 1.0
         # Stationary recurrence upward.
         for i in range(r - 1, -1, -1):
-            z[i] = -plus.l[i] * z[i + 1]
+            z[i] = -plus.ell[i] * z[i + 1]
             if z[i] == 0.0 and z[i + 1] == 0.0:
                 break
         # Progressive recurrence downward.
@@ -84,7 +84,7 @@ def getvec(rep: LDL, lam: float, gap: float,
 def _dstqds_batch(rep: LDL, lams: np.ndarray):
     """Stationary qds transform vectorized over shifts (rows loop, SIMD
     over the m eigenvalues)."""
-    d, l = rep.d, rep.l
+    d, ell = rep.d, rep.ell
     n = d.shape[0]
     m = lams.shape[0]
     tiny = np.finfo(np.float64).tiny
@@ -95,15 +95,15 @@ def _dstqds_batch(rep: LDL, lams: np.ndarray):
         svec[i] = s
         dplus = d[i] + s
         dplus = np.where(dplus == 0.0, tiny, dplus)
-        lplus[i] = (d[i] * l[i]) / dplus
-        s = lplus[i] * l[i] * s - lams
+        lplus[i] = (d[i] * ell[i]) / dplus
+        s = lplus[i] * ell[i] * s - lams
     svec[n - 1] = s
     return lplus, svec
 
 
 def _dqds_batch(rep: LDL, lams: np.ndarray):
     """Progressive qds transform vectorized over shifts."""
-    d, l = rep.d, rep.l
+    d, ell = rep.d, rep.ell
     n = d.shape[0]
     m = lams.shape[0]
     tiny = np.finfo(np.float64).tiny
@@ -112,10 +112,10 @@ def _dqds_batch(rep: LDL, lams: np.ndarray):
     p = d[n - 1] - lams
     pvec[n - 1] = p
     for i in range(n - 2, -1, -1):
-        dminus = d[i] * l[i] * l[i] + p
+        dminus = d[i] * ell[i] * ell[i] + p
         dminus = np.where(dminus == 0.0, tiny, dminus)
         t = d[i] / dminus
-        uminus[i] = l[i] * t
+        uminus[i] = ell[i] * t
         p = p * t - lams
         pvec[i] = p
     return uminus, pvec

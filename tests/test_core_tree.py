@@ -3,14 +3,13 @@
 import pytest
 
 from repro.core import build_tree
-from repro.core.tree import Node
 
 
 def test_paper_example_fig2():
     # n=1000 with minimal partition 300 -> four leaves of 250 (paper Fig. 2).
     t = build_tree(1000, 300)
     leaves = list(t.leaves())
-    assert [l.n for l in leaves] == [250, 250, 250, 250]
+    assert [leaf.n for leaf in leaves] == [250, 250, 250, 250]
     assert t.height == 2
     assert len(t.merges_by_level()) == 2
 
@@ -27,12 +26,12 @@ def test_leaf_sizes_bounded_and_cover():
     for n in (1, 2, 63, 64, 65, 100, 1001):
         t = build_tree(n, 64)
         leaves = list(t.leaves())
-        assert all(1 <= l.n <= 64 for l in leaves)
+        assert all(1 <= leaf.n <= 64 for leaf in leaves)
         # Leaves tile [0, n) in order.
         pos = 0
-        for l in leaves:
-            assert l.lo == pos
-            pos = l.hi
+        for leaf in leaves:
+            assert leaf.lo == pos
+            pos = leaf.hi
         assert pos == n
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mrrr import (bisect_eigenvalues, bisect_ldl, dqds_progressive,
                         dstqds, gershgorin, getvec, ldl_factor, mrrr_eigh,
                         sturm_count, sturm_count_ldl, twist_data)
-from repro.mrrr.bisect import bisect_ldl_multi, sturm_count_ldl_multi
+from repro.mrrr.bisect import sturm_count_ldl_multi
 from repro.mrrr.solver import _split_blocks, _tridiag_solve_shifted
 
 
@@ -68,7 +68,7 @@ def test_sturm_count_ldl_matches_plain():
     e = rng.normal(size=19) * 0.3
     rep = ldl_factor(d, e, 0.0)
     sig = np.linspace(0, 10, 23)
-    np.testing.assert_array_equal(sturm_count_ldl(rep.d, rep.l, sig),
+    np.testing.assert_array_equal(sturm_count_ldl(rep.d, rep.ell, sig),
                                   sturm_count(d, e, sig))
 
 
@@ -80,10 +80,10 @@ def test_multi_rep_counts_match_single():
     repB = ldl_factor(d + 1.0, e, 0.0)
     sig = np.array([2.0, 6.0])
     dmat = np.stack([repA.d, repB.d], axis=1)
-    lmat = np.stack([repA.l, repB.l], axis=1)
+    lmat = np.stack([repA.ell, repB.ell], axis=1)
     multi = sturm_count_ldl_multi(dmat, lmat, sig)
-    assert multi[0] == sturm_count_ldl(repA.d, repA.l, sig[:1])[0]
-    assert multi[1] == sturm_count_ldl(repB.d, repB.l, sig[1:])[0]
+    assert multi[0] == sturm_count_ldl(repA.d, repA.ell, sig[:1])[0]
+    assert multi[1] == sturm_count_ldl(repB.d, repB.ell, sig[1:])[0]
 
 
 def test_bisect_ldl_refines_to_relative_accuracy():
@@ -92,7 +92,7 @@ def test_bisect_ldl_refines_to_relative_accuracy():
     e = rng.normal(size=24) * 0.5
     rep = ldl_factor(d, e, 0.0)
     ref = np.linalg.eigvalsh(tridiag(d, e))
-    lam = bisect_ldl(rep.d, rep.l, np.arange(25),
+    lam = bisect_ldl(rep.d, rep.ell, np.arange(25),
                      np.zeros(25), np.full(25, ref[-1] * 1.5))
     np.testing.assert_allclose(lam, ref, rtol=1e-13)
 

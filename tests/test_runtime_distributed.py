@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import DCContext, DCOptions, submit_dc
-from repro.runtime import (ClusterMachine, DataHandle, INPUT, Machine,
-                           Network, OUTPUT, SequentialScheduler, TaskCost,
-                           TaskGraph, tree_placement)
+from repro.runtime import (ClusterMachine, DataHandle, INPUT, Machine, Network,
+                           OUTPUT, TaskCost, TaskGraph, tree_placement)
 
 
 def test_single_node_matches_basic_expectations():

@@ -1,14 +1,12 @@
 """Execution-backend tests: sequential, threads, and simulator."""
 
 import threading
-import time
 
 import pytest
 
-from repro.runtime import (INPUT, OUTPUT, INOUT, GATHERV,
-                           DataHandle, Machine, Quark, SequentialScheduler,
-                           SimulatedMachine, TaskGraph, TaskCost,
-                           ThreadScheduler)
+from repro.runtime import (INPUT, OUTPUT, INOUT, DataHandle, Machine, Quark,
+                           SequentialScheduler, SimulatedMachine, TaskGraph,
+                           TaskCost, ThreadScheduler)
 
 
 def build_chain_graph(results):

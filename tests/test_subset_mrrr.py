@@ -66,7 +66,9 @@ def test_subset_skips_unwanted_clusters_work():
     res_full = mrrr_eigh(d, e, full_result=True)
     res_sub = mrrr_eigh(d, e, subset=np.array([0, 1, 2]), full_result=True)
     # Fewer Getvec work records -> the Θ(nk) claim.
-    count = lambda r, name: sum(1 for w in r.records if w.name == name)
+    def count(r, name):
+        return sum(1 for w in r.records if w.name == name)
+
     assert count(res_sub, "Getvec") < count(res_full, "Getvec") / 5
 
 
